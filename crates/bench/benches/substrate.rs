@@ -62,10 +62,6 @@ fn bench_id(c: &mut Criterion) {
     group.bench_function("shared_prefix_digits", |b| {
         b.iter(|| a.shared_prefix_digits(b2, 4))
     });
-    group.bench_function("cmp_distance", |b| {
-        let k = Id::random(&mut rng);
-        b.iter(|| k.cmp_distance(a, b2))
-    });
     group.finish();
 }
 

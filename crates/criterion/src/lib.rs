@@ -3,8 +3,10 @@
 //! The build environment has no crates.io access. This crate keeps the
 //! `crates/bench` targets compiling and running with the same source: each
 //! `bench_function` runs a short warmup, then `sample_size` timed samples,
-//! and prints mean / min / max wall-clock time per iteration. There is no
-//! statistical analysis, HTML report, or baseline comparison.
+//! and prints mean / min / max wall-clock time per iteration — plus, when
+//! the group declared a [`Throughput`], the best sample as a rate (MB/s
+//! or time per element). There is no statistical analysis, HTML report,
+//! or baseline comparison.
 
 #![forbid(unsafe_code)]
 
@@ -61,7 +63,7 @@ impl Bencher {
     }
 }
 
-fn report(name: &str, timings: &[Duration]) {
+fn report(name: &str, timings: &[Duration], throughput: Option<Throughput>) {
     if timings.is_empty() {
         println!("bench {name:<40} (no samples)");
         return;
@@ -70,8 +72,19 @@ fn report(name: &str, timings: &[Duration]) {
     let mean = total / timings.len() as u32;
     let min = timings.iter().min().copied().unwrap_or_default();
     let max = timings.iter().max().copied().unwrap_or_default();
+    // Rates come from the fastest sample: on a shared host the slower
+    // samples carry other tenants' interference, not the kernel's cost.
+    let rate = match throughput {
+        Some(Throughput::Bytes(n)) => {
+            format!("  {:.1} MB/s", n as f64 / min.as_secs_f64() / 1e6)
+        }
+        Some(Throughput::Elements(n)) => {
+            format!("  {:.1} ns/elem", min.as_secs_f64() * 1e9 / n as f64)
+        }
+        None => String::new(),
+    };
     println!(
-        "bench {name:<40} mean {mean:>12?}  min {min:>12?}  max {max:>12?}  ({} samples)",
+        "bench {name:<40} mean {mean:>12?}  min {min:>12?}  max {max:>12?}  ({} samples){rate}",
         timings.len()
     );
 }
@@ -80,6 +93,7 @@ fn report(name: &str, timings: &[Duration]) {
 pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
+    throughput: Option<Throughput>,
     _parent: &'a mut Criterion,
 }
 
@@ -99,9 +113,10 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Record the per-iteration throughput (accepted for API parity; the
-    /// stub reports times only).
-    pub fn throughput(&mut self, _t: Throughput) -> &mut Self {
+    /// Record the per-iteration throughput; later benches in the group
+    /// also report their best sample as a rate.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.throughput = Some(t);
         self
     }
 
@@ -123,7 +138,11 @@ impl BenchmarkGroup<'_> {
             timings: Vec::new(),
         };
         f(&mut bencher);
-        report(&format!("{}/{}", self.name, id), &bencher.timings);
+        report(
+            &format!("{}/{}", self.name, id),
+            &bencher.timings,
+            self.throughput,
+        );
         self
     }
 
@@ -155,6 +174,7 @@ impl Criterion {
         BenchmarkGroup {
             name: name.into(),
             sample_size,
+            throughput: None,
             _parent: self,
         }
     }
@@ -171,7 +191,7 @@ impl Criterion {
             timings: Vec::new(),
         };
         f(&mut bencher);
-        report(id, &bencher.timings);
+        report(id, &bencher.timings, None);
         self
     }
 }

@@ -9,7 +9,7 @@
 use rand::Rng;
 
 use crate::chacha20::{self, KEY_LEN, NONCE_LEN};
-use crate::hmac::{derive_key, hmac_sha256, verify_tag};
+use crate::hmac::{derive_key, derive_keys, hmac_sha256, verify_tag};
 
 /// Tag width (truncated HMAC-SHA-256; 16 bytes keeps per-layer overhead at
 /// 28 bytes while leaving a 2^-128 forgery bound).
@@ -77,10 +77,8 @@ impl SymmetricKey {
     /// MAC streams incrementally; the bytes on the wire stay exactly
     /// those of [`SymmetricKey::seal_in_place`].
     pub(crate) fn subkeys(&self) -> ([u8; KEY_LEN], [u8; KEY_LEN]) {
-        (
-            derive_key(&self.0, "tap.enc", 0),
-            derive_key(&self.0, "tap.mac", 0),
-        )
+        let [enc, mac] = derive_keys(&self.0, ["tap.enc", "tap.mac"], 0);
+        (enc, mac)
     }
 
     /// Encrypt and authenticate `plaintext` under a fresh nonce.

@@ -13,10 +13,15 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; DIGEST_LEN] {
 }
 
 /// Incremental HMAC-SHA-256.
+///
+/// Both pads are absorbed when the MAC is keyed: `inner` and `outer` hold
+/// the hash states after the ipad and opad blocks. Finishing costs the
+/// inner tail plus one outer compression, and a keyed MAC can be cloned
+/// to tag several messages under one key without re-keying.
 #[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    opad_key: [u8; BLOCK_LEN],
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -29,17 +34,14 @@ impl HmacSha256 {
         } else {
             k[..key.len()].copy_from_slice(key);
         }
-        let mut ipad = [0u8; BLOCK_LEN];
-        let mut opad = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad[i] = k[i] ^ 0x36;
-            opad[i] = k[i] ^ 0x5c;
-        }
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
+        let pad = |byte: u8| {
+            let mut h = Sha256::new();
+            h.update(&k.map(|x| x ^ byte));
+            h
+        };
         HmacSha256 {
-            inner,
-            opad_key: opad,
+            inner: pad(0x36),
+            outer: pad(0x5c),
         }
     }
 
@@ -50,10 +52,8 @@ impl HmacSha256 {
 
     /// Finish and return the 32-byte tag.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 }
@@ -78,15 +78,32 @@ pub fn verify_tag(a: &[u8], b: &[u8]) -> bool {
 /// A one-step HKDF-Expand; sufficient because our secrets are already
 /// uniform (X25519 outputs fed through SHA-256, or RNG-drawn keys).
 pub fn derive_key(secret: &[u8], label: &str, counter: u8) -> [u8; DIGEST_LEN] {
-    let mut mac = HmacSha256::new(secret);
-    mac.update(label.as_bytes());
-    mac.update(&[counter]);
-    mac.finalize()
+    let [key] = derive_keys(secret, [label], counter);
+    key
+}
+
+/// [`derive_key`] for several labels under one secret, keying the MAC
+/// once: element `i` equals `derive_key(secret, labels[i], counter)`, at
+/// two compressions per label plus two for the shared key schedule
+/// instead of four per label.
+pub fn derive_keys<const N: usize>(
+    secret: &[u8],
+    labels: [&str; N],
+    counter: u8,
+) -> [[u8; DIGEST_LEN]; N] {
+    let keyed = HmacSha256::new(secret);
+    labels.map(|label| {
+        let mut mac = keyed.clone();
+        mac.update(label.as_bytes());
+        mac.update(&[counter]);
+        mac.finalize()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(d: &[u8]) -> String {
         d.iter().map(|b| format!("{b:02x}")).collect()
@@ -151,6 +168,59 @@ mod tests {
         bad[0] ^= 1;
         assert!(!verify_tag(&t, &bad));
         assert!(!verify_tag(&t, &t[..31]), "length mismatch rejected");
+    }
+
+    /// HMAC by the RFC 2104 formula `H((K ^ opad) || H((K ^ ipad) || m))`,
+    /// hashing both pads on every call.
+    fn hmac_oracle(key: &[u8], data: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut k = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            k[..DIGEST_LEN].copy_from_slice(&sha256(key));
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let inner: Vec<u8> = k
+            .iter()
+            .map(|x| x ^ 0x36)
+            .chain(data.iter().copied())
+            .collect();
+        let outer: Vec<u8> = k.iter().map(|x| x ^ 0x5c).chain(sha256(&inner)).collect();
+        sha256(&outer)
+    }
+
+    proptest! {
+        #[test]
+        fn prop_hmac_matches_rfc_formula(
+            key in proptest::collection::vec(any::<u8>(), 0..150),
+            data in proptest::collection::vec(any::<u8>(), 0..200)
+        ) {
+            prop_assert_eq!(hmac_sha256(&key, &data), hmac_oracle(&key, &data));
+            // A cloned keyed MAC tags independently of its sibling.
+            let keyed = HmacSha256::new(&key);
+            let mut other = keyed.clone();
+            other.update(b"sibling");
+            let mut mac = keyed;
+            mac.update(&data);
+            prop_assert_eq!(mac.finalize(), hmac_oracle(&key, &data));
+        }
+
+        #[test]
+        fn prop_derive_keys_equals_one_derive_key_per_label(
+            secret in proptest::collection::vec(any::<u8>(), 0..100),
+            counter in any::<u8>(),
+            pick in 0usize..4
+        ) {
+            let labels = ["tap.enc", "tap.mac", "", "a label longer than one sixty-four byte block of input"];
+            let (a, b) = (labels[pick], labels[(pick + 1) % 4]);
+            prop_assert_eq!(
+                derive_keys(&secret, [a, b], counter),
+                [derive_key(&secret, a, counter), derive_key(&secret, b, counter)]
+            );
+            let mut mac = HmacSha256::new(&secret);
+            mac.update(a.as_bytes());
+            mac.update(&[counter]);
+            prop_assert_eq!(derive_key(&secret, a, counter), mac.finalize());
+        }
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! nothing — the per-transfer cost is cipher work, not the allocator.
 //!
 //! Lives in its own integration binary because `#[global_allocator]` is
-//! process-wide.
+//! process-wide. The count is per thread: the harness runs tests on
+//! sibling threads, and each test must see only its own allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,11 +17,21 @@ use tap_crypto::onion::{LayerBuf, OnionBuilder};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // A `const`-initialised `Cell` needs no lazy set-up and no destructor,
+    // so touching it from inside the allocator cannot itself allocate.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` fails only while the thread is being torn down; those
+    // allocations belong to no test.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -30,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A realloc that moves or grows is an allocator round-trip too.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -38,11 +49,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Run `f` and return how many allocator calls it made.
+/// Run `f` and return how many allocator calls it made on this thread.
 fn allocations_in(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 fn fixture(layers: usize) -> (Vec<(SymmetricKey, Vec<u8>)>, StdRng) {

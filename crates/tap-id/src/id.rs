@@ -84,35 +84,39 @@ impl Id {
         Id(b)
     }
 
+    /// The id as a big-endian limb pair: the high 128 bits and the low
+    /// 32. Tuple order on the pair is numeric order on the id, so ring
+    /// arithmetic and distance comparisons run on two machine words
+    /// instead of twenty bytes.
+    #[inline]
+    fn limbs(self) -> (u128, u32) {
+        let (hi, lo) = self.0.split_at(16);
+        (
+            u128::from_be_bytes(hi.try_into().expect("16-byte high limb")),
+            u32::from_be_bytes(lo.try_into().expect("4-byte low limb")),
+        )
+    }
+
+    #[inline]
+    fn from_limbs((hi, lo): (u128, u32)) -> Id {
+        let mut b = [0u8; ID_BYTES];
+        b[..16].copy_from_slice(&hi.to_be_bytes());
+        b[16..].copy_from_slice(&lo.to_be_bytes());
+        Id(b)
+    }
+
     /// Wrapping addition on the ring.
+    #[inline]
     #[must_use]
     pub fn wrapping_add(self, rhs: Id) -> Id {
-        let mut out = [0u8; ID_BYTES];
-        let mut carry = 0u16;
-        for i in (0..ID_BYTES).rev() {
-            let s = self.0[i] as u16 + rhs.0[i] as u16 + carry;
-            out[i] = s as u8;
-            carry = s >> 8;
-        }
-        Id(out)
+        Id::from_limbs(add_limbs(self.limbs(), rhs.limbs()))
     }
 
     /// Wrapping subtraction on the ring (`self - rhs mod 2^160`).
+    #[inline]
     #[must_use]
     pub fn wrapping_sub(self, rhs: Id) -> Id {
-        let mut out = [0u8; ID_BYTES];
-        let mut borrow = 0i16;
-        for i in (0..ID_BYTES).rev() {
-            let d = self.0[i] as i16 - rhs.0[i] as i16 - borrow;
-            if d < 0 {
-                out[i] = (d + 256) as u8;
-                borrow = 1;
-            } else {
-                out[i] = d as u8;
-                borrow = 0;
-            }
-        }
-        Id(out)
+        Id::from_limbs(sub_limbs(self.limbs(), rhs.limbs()))
     }
 
     /// Distance travelling clockwise (increasing ids) from `self` to `to`.
@@ -134,24 +138,20 @@ impl Id {
     /// This is the metric behind Pastry's "numerically closest nodeid":
     /// a key's root is the live node minimizing `ring_distance(nodeid, key)`.
     /// The result is at most [`Id::HALF`].
+    #[inline]
     #[must_use]
     pub fn ring_distance(self, other: Id) -> Id {
-        let cw = self.clockwise_distance(other);
-        let ccw = self.counter_clockwise_distance(other);
-        if cw <= ccw {
-            cw
-        } else {
-            ccw
-        }
+        Id::from_limbs(distance_limbs(self.limbs(), other.limbs()))
     }
 
     /// Compare two candidate ids by their ring distance to `self`,
     /// tie-breaking on the numerically smaller candidate so the relation is
     /// a total order (required for deterministic replica-set selection).
+    #[inline]
     pub fn cmp_distance(&self, a: Id, b: Id) -> Ordering {
-        self.ring_distance(a)
-            .cmp(&self.ring_distance(b))
-            .then(a.cmp(&b))
+        let k = self.limbs();
+        let (a, b) = (a.limbs(), b.limbs());
+        (distance_limbs(k, a), a).cmp(&(distance_limbs(k, b), b))
     }
 
     /// Whether `self` is strictly closer to `target` than `other` is,
@@ -170,16 +170,14 @@ impl Id {
         debug_assert!((1..=8).contains(&b), "digit width must be in 1..=8");
         let bit_off = index * b as usize;
         debug_assert!(bit_off < ID_BITS as usize, "digit index out of range");
-        let avail = (ID_BITS as usize - bit_off).min(b as usize);
-        let mut v = 0u8;
-        for i in 0..avail {
-            let bit = bit_off + i;
-            let byte = self.0[bit / 8];
-            let bitval = (byte >> (7 - (bit % 8))) & 1;
-            v = (v << 1) | bitval;
-        }
-        // Pad short tail digits on the right, as if the id ended in zeros.
-        v << (b as usize - avail)
+        // A digit spans at most two bytes (bit offset within the first
+        // byte plus width is at most 15). A window running past the last
+        // byte reads zeros there, which is exactly the tail padding.
+        let byte = bit_off / 8;
+        let next = self.0.get(byte + 1).copied().unwrap_or(0);
+        let window = u16::from_be_bytes([self.0[byte], next]);
+        let shift = 16 - (bit_off % 8) as u32 - b;
+        ((window >> shift) & ((1u16 << b) - 1)) as u8
     }
 
     /// Return a copy of `self` with digit `index` (width `b`) replaced by
@@ -235,9 +233,10 @@ impl Id {
         if from == to {
             return true;
         }
-        let span = from.clockwise_distance(to);
-        let off = from.clockwise_distance(*self);
-        off > Id::ZERO && off <= span
+        let from = from.limbs();
+        let span = sub_limbs(to.limbs(), from);
+        let off = sub_limbs(self.limbs(), from);
+        off != (0, 0) && off <= span
     }
 
     /// Render as a 40-character lowercase hex string.
@@ -249,6 +248,27 @@ impl Id {
         }
         s
     }
+}
+
+/// `a + b mod 2^160` on limb pairs: the low limb's carry feeds the high
+/// limb arithmetically, with no branch.
+#[inline]
+fn add_limbs(a: (u128, u32), b: (u128, u32)) -> (u128, u32) {
+    let (lo, carry) = a.1.overflowing_add(b.1);
+    (a.0.wrapping_add(b.0).wrapping_add(u128::from(carry)), lo)
+}
+
+/// `a - b mod 2^160` on limb pairs, with a branch-free borrow.
+#[inline]
+fn sub_limbs(a: (u128, u32), b: (u128, u32)) -> (u128, u32) {
+    let (lo, borrow) = a.1.overflowing_sub(b.1);
+    (a.0.wrapping_sub(b.0).wrapping_sub(u128::from(borrow)), lo)
+}
+
+/// The minimal circular distance on limb pairs.
+#[inline]
+fn distance_limbs(a: (u128, u32), b: (u128, u32)) -> (u128, u32) {
+    sub_limbs(b, a).min(sub_limbs(a, b))
 }
 
 /// Error parsing an [`Id`] from a hex string.
@@ -316,6 +336,97 @@ mod tests {
 
     fn id(v: u64) -> Id {
         Id::from_u64(v)
+    }
+
+    /// The byte-loop ring arithmetic the limb-pair kernels replaced, kept
+    /// as the oracle they are proptested against.
+    mod oracle {
+        use super::super::*;
+
+        pub fn wrapping_add(a: Id, b: Id) -> Id {
+            let mut out = [0u8; ID_BYTES];
+            let mut carry = 0u16;
+            for i in (0..ID_BYTES).rev() {
+                let s = a.0[i] as u16 + b.0[i] as u16 + carry;
+                out[i] = s as u8;
+                carry = s >> 8;
+            }
+            Id(out)
+        }
+
+        pub fn wrapping_sub(a: Id, b: Id) -> Id {
+            let mut out = [0u8; ID_BYTES];
+            let mut borrow = 0i16;
+            for i in (0..ID_BYTES).rev() {
+                let d = a.0[i] as i16 - b.0[i] as i16 - borrow;
+                if d < 0 {
+                    out[i] = (d + 256) as u8;
+                    borrow = 1;
+                } else {
+                    out[i] = d as u8;
+                    borrow = 0;
+                }
+            }
+            Id(out)
+        }
+
+        pub fn ring_distance(a: Id, b: Id) -> Id {
+            let cw = wrapping_sub(b, a);
+            let ccw = wrapping_sub(a, b);
+            if cw <= ccw {
+                cw
+            } else {
+                ccw
+            }
+        }
+
+        pub fn cmp_distance(key: Id, a: Id, b: Id) -> Ordering {
+            ring_distance(key, a)
+                .cmp(&ring_distance(key, b))
+                .then(a.cmp(&b))
+        }
+
+        pub fn between_cw(x: Id, from: Id, to: Id) -> bool {
+            if from == to {
+                return true;
+            }
+            let span = wrapping_sub(to, from);
+            let off = wrapping_sub(x, from);
+            off > Id::ZERO && off <= span
+        }
+
+        pub fn digit(a: Id, index: usize, b: u32) -> u8 {
+            let bit_off = index * b as usize;
+            let avail = (ID_BITS as usize - bit_off).min(b as usize);
+            let mut v = 0u8;
+            for i in 0..avail {
+                let bit = bit_off + i;
+                let byte = a.0[bit / 8];
+                v = (v << 1) | ((byte >> (7 - (bit % 8))) & 1);
+            }
+            v << (b as usize - avail)
+        }
+    }
+
+    /// Shape uniform bytes into ids that stress carries and borrows: by
+    /// `shape`'s low two bits, leave them, force a masked subset of bytes
+    /// to 0xff or to 0x00, or fill the bytes around the limb boundary
+    /// (12..20) with one of the two.
+    fn edge(mut b: [u8; 20], shape: u32) -> Id {
+        let mask = shape >> 2;
+        match shape & 3 {
+            0 => {}
+            1 | 2 => {
+                let fill = if shape & 3 == 1 { 0xff } else { 0 };
+                for (i, x) in b.iter_mut().enumerate() {
+                    if mask >> i & 1 == 1 {
+                        *x = fill;
+                    }
+                }
+            }
+            _ => b[12..].fill(if mask & 1 == 1 { 0xff } else { 0 }),
+        }
+        Id::from_bytes(b)
     }
 
     #[test]
@@ -451,7 +562,57 @@ mod tests {
         assert!(Id::HALF > Id::from_u128(u128::MAX));
     }
 
+    #[test]
+    fn digit_matches_oracle_for_every_width_and_index() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let ids = [Id::ZERO, Id::MAX, Id::HALF, id(1), Id::random(&mut rng)];
+        for a in ids {
+            for b in 1..=8u32 {
+                for index in 0..crate::digits_for(b) {
+                    assert_eq!(
+                        a.digit(index, b),
+                        oracle::digit(a, index, b),
+                        "b={b} i={index}"
+                    );
+                }
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_limb_arithmetic_matches_byte_oracle(
+            a in any::<[u8; 20]>(), sa in any::<u32>(), b in any::<[u8; 20]>(), sb in any::<u32>()
+        ) {
+            let (a, b) = (edge(a, sa), edge(b, sb));
+            prop_assert_eq!(a.wrapping_add(b), oracle::wrapping_add(a, b));
+            prop_assert_eq!(a.wrapping_sub(b), oracle::wrapping_sub(a, b));
+            prop_assert_eq!(a.ring_distance(b), oracle::ring_distance(a, b));
+        }
+
+        #[test]
+        fn prop_cmp_distance_and_arcs_match_byte_oracle(
+            k in any::<[u8; 20]>(), a in any::<[u8; 20]>(), b in any::<[u8; 20]>(), s in any::<u32>()
+        ) {
+            let (k, a, b) = (edge(k, s), edge(a, s.rotate_left(7)), edge(b, s.rotate_left(14)));
+            prop_assert_eq!(k.cmp_distance(a, b), oracle::cmp_distance(k, a, b));
+            prop_assert_eq!(k.cmp_distance(a, a), Ordering::Equal);
+            prop_assert_eq!(k.between_cw(a, b), oracle::between_cw(k, a, b));
+            prop_assert_eq!(a.between_cw(a, b), oracle::between_cw(a, a, b));
+            prop_assert_eq!(b.between_cw(a, b), oracle::between_cw(b, a, b));
+        }
+
+        #[test]
+        fn prop_digit_matches_byte_oracle(
+            a in any::<[u8; 20]>(), s in any::<u32>(), w in 1u32..=8, pick in any::<usize>()
+        ) {
+            let a = edge(a, s);
+            let last = crate::digits_for(w) - 1;
+            for index in [0, pick % (last + 1), last] {
+                prop_assert_eq!(a.digit(index, w), oracle::digit(a, index, w));
+            }
+        }
+
         #[test]
         fn prop_add_sub_inverse(a in any::<[u8; 20]>(), b in any::<[u8; 20]>()) {
             let (a, b) = (Id::from_bytes(a), Id::from_bytes(b));

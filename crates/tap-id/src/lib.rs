@@ -19,9 +19,10 @@
 //!   width `b` (Pastry's `b` parameter, typically 4 → hexadecimal digits).
 //!
 //! The type is deliberately `Copy` (20 bytes), ordering is the plain numeric
-//! order, and all arithmetic is branch-light constant-width `u8` limb math —
-//! identifier comparisons sit on the hot path of every simulated routing
-//! step, so the representation is kept flat and allocation-free.
+//! order, and all ring arithmetic runs branch-free on a big-endian
+//! `(u128, u32)` limb pair — identifier comparisons sit on the hot path of
+//! every simulated routing step, so the representation is kept flat and
+//! allocation-free.
 //!
 //! ## Example
 //!

@@ -178,13 +178,13 @@ impl LeafSet {
     /// The member of `leafset ∪ {owner}` numerically closest to `key`
     /// (deterministic tie-break via [`Id::cmp_distance`]).
     pub fn closest_to(&self, key: Id) -> Id {
-        let mut best = self.owner;
+        // Each candidate's distance is computed once; `(distance, id)`
+        // pairs order exactly as `cmp_distance` does.
+        let mut best = (key.ring_distance(self.owner), self.owner);
         for m in self.members() {
-            if key.cmp_distance(m, best) == std::cmp::Ordering::Less {
-                best = m;
-            }
+            best = best.min((key.ring_distance(m), m));
         }
-        best
+        best.1
     }
 }
 
@@ -353,6 +353,29 @@ mod tests {
                     "member closer than closest_to result"
                 );
             }
+        }
+
+        #[test]
+        fn prop_closest_to_matches_brute_force_on_ties(
+            owner in any::<u8>(),
+            members in proptest::collection::vec(any::<u8>(), 0..20),
+            key in any::<u8>(),
+        ) {
+            // Even points on a small arc straddling zero, odd keys: many
+            // keys are equidistant from two members, and arcs wrap.
+            let at = |x: u8| Id::from_u64(2 * x as u64).wrapping_sub(Id::from_u64(256));
+            let owner = at(owner);
+            let key = at(key).wrapping_add(Id::from_u64(1));
+            let mut ls = LeafSet::new(owner, 4);
+            for m in &members {
+                ls.insert(at(*m));
+            }
+            let brute = ls
+                .members()
+                .chain(std::iter::once(owner))
+                .min_by(|a, b| key.cmp_distance(*a, *b))
+                .unwrap();
+            prop_assert_eq!(ls.closest_to(key), brute);
         }
 
         #[test]

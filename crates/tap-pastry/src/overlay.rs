@@ -375,15 +375,25 @@ impl Overlay {
         let take = k.min(self.ring.len());
         // Candidates: the k nearest on each side (the k closest overall
         // are among them), merged by ring distance.
-        let mut cands = self.successors(key, take);
-        if self.ring.contains(&key) {
-            cands.push(key);
-        }
-        cands.extend(self.predecessors(key, take));
-        cands.sort_by(|a, b| key.cmp_distance(*a, *b));
+        // Each is keyed by `(distance, id)` once — the order
+        // `cmp_distance` defines — rather than per comparison.
+        let mut cands: Vec<(Id, Id)> = self
+            .successors(key, take)
+            .into_iter()
+            .chain(self.ring.contains(&key).then_some(key))
+            .chain(self.predecessors(key, take))
+            .map(|c| (key.ring_distance(c), c))
+            .collect();
+        cands.sort_unstable();
         cands.dedup();
-        cands.truncate(take);
-        cands
+        // Collected from a borrowed iterator, so the result gets a buffer
+        // of exactly `take` ids: replica stores keep it for the object's
+        // lifetime, and reusing `cands`' wider buffer would hold twice
+        // the memory per stored object.
+        cands[..take.min(cands.len())]
+            .iter()
+            .map(|&(_, c)| c)
+            .collect()
     }
 
     /// Oracle: every live node in nearest-first order from `key` — the
@@ -1385,6 +1395,27 @@ mod proptests {
             }
             ov.assert_leafsets_exact();
             ov.assert_tables_structurally_valid();
+        }
+
+        #[test]
+        fn prop_k_closest_matches_brute_force_on_ties(
+            nodes in proptest::collection::vec(any::<u8>(), 1..40),
+            key in any::<u8>(),
+            odd in any::<bool>(),
+            k in 1usize..12,
+        ) {
+            // Nodes on even points of a small arc straddling zero; odd
+            // keys sit midway between two of them, even keys on one.
+            let at = |x: u8| Id::from_u64(2 * x as u64).wrapping_sub(Id::from_u64(256));
+            let mut ov = Overlay::new(PastryConfig::paper_defaults());
+            for x in &nodes {
+                ov.add_node(at(*x));
+            }
+            let key = at(key).wrapping_add(Id::from_u64(u64::from(odd)));
+            let mut brute: Vec<Id> = ov.ids().collect();
+            brute.sort_by(|a, b| key.cmp_distance(*a, *b));
+            brute.truncate(k);
+            prop_assert_eq!(ov.k_closest(key, k), brute);
         }
 
         #[test]
