@@ -132,7 +132,7 @@ impl_tuple_strategy! {
 pub mod collection {
     use super::{Gen, Strategy};
 
-    /// Length specification for [`vec`]: an exact size or a half-open range.
+    /// Length specification for [`vec()`]: an exact size or a half-open range.
     pub struct SizeRange {
         lo: usize,
         hi_exclusive: usize,
@@ -165,7 +165,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

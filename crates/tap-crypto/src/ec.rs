@@ -350,9 +350,17 @@ impl EcConfig {
         lens
     }
 
+    /// Body bytes of each fragment: the sum of [`Self::shard_lens`] in
+    /// O(1), so checking a remote header's `payload_len` (up to 4 GiB)
+    /// allocates nothing.
+    fn body_len(&self, payload_len: usize) -> usize {
+        let k = self.k as usize;
+        (payload_len / self.chunk) * self.chunk.div_ceil(k) + (payload_len % self.chunk).div_ceil(k)
+    }
+
     /// On-wire length of each fragment for a payload of `payload_len` bytes.
     pub fn fragment_len(&self, payload_len: usize) -> usize {
-        HEADER_LEN + self.shard_lens(payload_len).iter().sum::<usize>()
+        HEADER_LEN + self.body_len(payload_len)
     }
 
     /// Encode `payload` into `n` fragments, any `k` of which reconstruct it.
@@ -363,7 +371,7 @@ impl EcConfig {
         let n = self.n as usize;
         let k = self.k as usize;
         let lens = self.shard_lens(payload.len());
-        let body_len: usize = lens.iter().sum();
+        let body_len = self.body_len(payload.len());
         let data_points: Vec<u8> = (0..self.k).collect();
         let parity_rows: Vec<Vec<u8>> = (self.k..self.n)
             .map(|e| lagrange_row(&data_points, e))
@@ -444,8 +452,7 @@ impl EcConfig {
                 corrupt.push(pos);
                 continue;
             }
-            let expected_body: usize = self.shard_lens(meta.payload_len as usize).iter().sum();
-            if body.len() != expected_body {
+            if body.len() != self.body_len(meta.payload_len as usize) {
                 corrupt.push(pos);
                 continue;
             }
@@ -761,5 +768,86 @@ mod tests {
                 "expected NotEnough, got {:?}", starved
             );
         }
+
+        #[test]
+        fn body_len_is_the_sum_of_shard_lens(
+            payload_len in 0usize..2000,
+            n in 1u8..=64,
+            k_seed in any::<u8>(),
+            chunk in 1usize..200,
+        ) {
+            let cfg = EcConfig::with_chunk(n, 1 + k_seed % n, chunk).unwrap();
+            prop_assert_eq!(
+                cfg.body_len(payload_len),
+                cfg.shard_lens(payload_len).iter().sum::<usize>()
+            );
+        }
+
+        // Fragments arrive from remote relays; anyone can recompute the
+        // check field, so parsing must hold up on arbitrary bytes.
+        #[test]
+        fn prop_fragment_meta_never_panics(
+            bytes in proptest::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let _ = fragment_meta(&bytes);
+            let mut forged = bytes;
+            forge_check(&mut forged);
+            if let Ok(meta) = fragment_meta(&forged) {
+                prop_assert!(1 <= meta.k && meta.k <= meta.n && meta.index < meta.n);
+            }
+        }
+
+        // Forged fragments with valid checks, optionally shaped to match
+        // the config's geometry (and the genuine transfer's length and
+        // digest), mixed with some genuine fragments: the decode may
+        // refuse, but never panics and never returns a wrong payload.
+        #[test]
+        fn prop_reconstruct_never_panics_on_forged_fragments(
+            raw in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), HEADER_LEN..HEADER_LEN + 80),
+                1..7,
+            ),
+            shapes in proptest::collection::vec((any::<u8>(), 0u8..4, any::<u32>()), 7),
+            payload in proptest::collection::vec(any::<u8>(), 0..120),
+            genuine in 0usize..6,
+        ) {
+            let cfg = EcConfig::with_chunk(5, 3, 48).unwrap();
+            let mut frags: Vec<Vec<u8>> = cfg.encode(&payload).unwrap();
+            frags.truncate(genuine);
+            for (mut frag, &(index, shape, forged_len)) in raw.into_iter().zip(&shapes) {
+                if shape != 0 {
+                    let len = if shape & 2 != 0 {
+                        frag[7..15].copy_from_slice(&payload_digest(&payload));
+                        payload.len()
+                    } else {
+                        forged_len as usize % 400
+                    };
+                    frag[..3].copy_from_slice(&[5, 3, index % 6]);
+                    frag[3..7].copy_from_slice(&(len as u32).to_be_bytes());
+                    frag.resize(HEADER_LEN + cfg.body_len(len), index);
+                } else {
+                    frag[3..7].copy_from_slice(&forged_len.to_be_bytes());
+                }
+                forge_check(&mut frag);
+                frags.push(frag);
+            }
+            if let Ok(r) = cfg.reconstruct(&frags) {
+                prop_assert_eq!(r.payload, payload);
+            }
+        }
+    }
+
+    /// Overwrite a fragment's check field with the checksum of its other
+    /// bytes, as any sender can.
+    fn forge_check(fragment: &mut [u8]) {
+        if fragment.len() < HEADER_LEN {
+            return;
+        }
+        let mut check = crate::sha256::Sha256::new();
+        check.update(&fragment[..HEADER_LEN - FRAGMENT_CHECK_LEN]);
+        check.update(&fragment[HEADER_LEN..]);
+        let sum = check.finalize();
+        fragment[HEADER_LEN - FRAGMENT_CHECK_LEN..HEADER_LEN]
+            .copy_from_slice(&sum[..FRAGMENT_CHECK_LEN]);
     }
 }

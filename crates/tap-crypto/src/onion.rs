@@ -727,5 +727,47 @@ mod tests {
             prop_assert_eq!(fused, layered);
             prop_assert_eq!(a_rng.gen::<u64>(), b_rng.gen::<u64>());
         }
+
+        // A relay peels whatever bytes arrive: garbage must be rejected,
+        // never panic, and leave the buffer as it was.
+        #[test]
+        fn prop_peel_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..96),
+            seed in any::<u64>(),
+        ) {
+            let (ks, _) = keys(1, seed);
+            let mut buf = LayerBuf::from_vec(bytes.clone());
+            prop_assert!(buf.peel(&ks[0]).is_err());
+            prop_assert_eq!(buf.bytes(), &bytes[..]);
+        }
+
+        // A sender holding the hop's key controls the plaintext framing:
+        // fewer than 4 bytes, or a header length past the end, must come
+        // back `Malformed`; anything well-framed peels to exactly its parts.
+        #[test]
+        fn prop_peel_never_panics_on_arbitrary_framing(
+            plain in proptest::collection::vec(any::<u8>(), 0..64),
+            hlen in 0u32..80,
+            framed in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let (ks, mut rng) = keys(1, seed);
+            let mut plain = plain;
+            if framed && plain.len() >= LEN_PREFIX {
+                plain[..LEN_PREFIX].copy_from_slice(&hlen.to_be_bytes());
+            }
+            let mut buf = LayerBuf::from_vec(ks[0].seal(&mut rng, &plain));
+            let claimed = plain
+                .get(..LEN_PREFIX)
+                .map(|p| u32::from_be_bytes([p[0], p[1], p[2], p[3]]) as usize);
+            match claimed.filter(|&h| LEN_PREFIX + h <= plain.len()) {
+                Some(h) => {
+                    let header = buf.peel(&ks[0]).unwrap().to_vec();
+                    prop_assert_eq!(&header[..], &plain[LEN_PREFIX..LEN_PREFIX + h]);
+                    prop_assert_eq!(buf.bytes(), &plain[LEN_PREFIX + h..]);
+                }
+                None => prop_assert_eq!(buf.peel(&ks[0]), Err(OnionError::Malformed)),
+            }
+        }
     }
 }

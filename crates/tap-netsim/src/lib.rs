@@ -58,7 +58,6 @@ pub mod fault;
 pub mod latency;
 mod network;
 pub mod sched;
-pub mod shard;
 mod time;
 
 pub use fault::{FaultAction, FaultPlan, ScheduledFault};
@@ -67,5 +66,4 @@ pub use network::{
     TrafficStats,
 };
 pub use sched::{CalendarQueue, EventHandle, EventKey};
-pub use shard::{ShardCtx, ShardedNetwork};
 pub use time::{SimDuration, SimTime, TimeError};

@@ -214,8 +214,7 @@ impl NetInstruments {
 ///
 /// Events live in a [`CalendarQueue`]; same-instant events pop in schedule
 /// (FIFO) order under the queue's monotone sequence numbers — see the
-/// ordering invariant in [`crate::sched`]. For the many-core variant see
-/// [`crate::shard::ShardedNetwork`].
+/// ordering invariant in [`crate::sched`].
 pub struct Network<M, L: LatencyModel = crate::latency::UniformLatency> {
     config: NetworkConfig,
     latency: L,
@@ -340,8 +339,8 @@ impl<M, L: LatencyModel> Network<M, L> {
     }
 
     /// Whether the endpoint is currently live. An endpoint from another
-    /// network instance is reported dead (and journaled, see
-    /// [`Network::known_endpoint`]).
+    /// network instance is reported dead, and counted and journaled as
+    /// `netsim.bad_endpoint`.
     pub fn is_alive(&self, id: EndpointId) -> bool {
         self.known_endpoint(id, "is_alive") && self.alive[id.index()]
     }

@@ -12,8 +12,7 @@ use crate::Scale;
 pub const USAGE: &str =
     "usage: tap-sim <fig2|fig3|fig4a|fig4b|fig5|fig6|secure|resilience|throughput|all> \
                          [--paper] [--seed N] [--nodes N] [--tunnels N] [--journal N] \
-                         [--faults PERMILLE] [--multipath N/K] [--threads N] [--shards N] \
-                         [--csv DIR]";
+                         [--faults PERMILLE] [--multipath N/K] [--threads N] [--csv DIR]";
 
 /// The figure names the binary accepts (plus the pseudo-figure `all`).
 pub const FIGURES: [&str; 9] = [
@@ -108,13 +107,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
                     return Err("--threads must be at least 1".into());
                 }
                 threads = Some(n);
-            }
-            "--shards" => {
-                let n: usize = parse_value("--shards", iter.next())?;
-                if n == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-                scale.shards = n;
             }
             "--csv" => {
                 csv_dir = Some(
@@ -255,30 +247,6 @@ mod tests {
         let b = parse_line("resilience --paper --multipath 4/2").unwrap();
         assert_eq!(a, b);
         assert_eq!((a.scale.mp_n, a.scale.mp_k), (4, 2));
-    }
-
-    #[test]
-    fn shards_flag_is_validated_and_order_independent() {
-        let cli = parse_line("throughput --shards 8").unwrap();
-        assert_eq!(cli.which, "throughput");
-        assert_eq!(cli.scale.shards, 8);
-
-        assert_eq!(
-            parse_line("throughput").unwrap().scale.shards,
-            0,
-            "0 = auto"
-        );
-        assert!(parse_line("throughput --shards 0")
-            .unwrap_err()
-            .contains("at least 1"));
-        assert!(parse_line("throughput --shards x")
-            .unwrap_err()
-            .contains("unsigned integer"));
-
-        let a = parse_line("throughput --shards 4 --paper").unwrap();
-        let b = parse_line("throughput --paper --shards 4").unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.scale.shards, 4);
     }
 
     #[test]

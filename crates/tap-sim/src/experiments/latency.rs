@@ -7,12 +7,12 @@
 //! numerically closest to the fileid" — overtly, through TAP's basic
 //! tunnels, and through TAP's §5 hint-optimized tunnels, at l ∈ {3, 5}.
 //!
-//! Every variant produces a node-level store-and-forward path; the path is
-//! then replayed against the discrete-event network (per-hop 1.5 Mb/s
-//! serialization plus pairwise propagation delay), exactly the cost model
-//! of the paper's emulator.
+//! Every variant produces a node-level store-and-forward path, costed with
+//! the paper emulator's model: per-hop 1.5 Mb/s serialization plus
+//! pairwise propagation delay. Each transfer runs alone on idle uplinks,
+//! so its time is a closed-form sum over hops.
 
-use std::sync::Mutex;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,15 +23,13 @@ use tap_core::transit::{self, HintCache, TransitOptions};
 use tap_core::tunnel::Tunnel;
 use tap_core::wire::Destination;
 use tap_id::{Id, IdHashMap};
-use tap_metrics::Registry;
-use tap_netsim::latency::{EuclideanLatency, LatencyModel, RemappedLatency, UniformLatency};
-use tap_netsim::{
-    EndpointId, Event, NetworkConfig, ShardCtx, ShardedNetwork, SimDuration, SimTime, TimerToken,
-};
+use tap_metrics::{Histogram, Registry};
+use tap_netsim::bandwidth::Nic;
+use tap_netsim::latency::{EuclideanLatency, LatencyModel, UniformLatency};
+use tap_netsim::{EndpointId, NetworkConfig, SimDuration};
 use tap_pastry::storage::ReplicaStore;
 use tap_pastry::{Overlay, PastryConfig};
 
-use super::throughput::effective_shards;
 use crate::engine::{substream_seed, TrialPool};
 use crate::report::Series;
 use crate::Scale;
@@ -119,7 +117,6 @@ pub fn run_with_model(scale: &Scale, model: TopologyModel) -> Series {
         super::apply_journal(&trial_metrics, scale);
         let seed = pool.trial_seed(idx);
         let (base, ids) = &bases[si];
-        let shards = effective_shards(scale);
         let per_transfer = match model {
             TopologyModel::Uniform => simulate_one(
                 base,
@@ -128,7 +125,6 @@ pub fn run_with_model(scale: &Scale, model: TopologyModel) -> Series {
                 seed,
                 UniformLatency::paper(seed ^ 0x1a7e),
                 &trial_metrics,
-                shards,
             ),
             TopologyModel::Euclidean => simulate_one(
                 base,
@@ -137,7 +133,6 @@ pub fn run_with_model(scale: &Scale, model: TopologyModel) -> Series {
                 seed,
                 EuclideanLatency::paper(seed ^ 0x1a7e),
                 &trial_metrics,
-                shards,
             ),
         };
         (per_transfer, trial_metrics)
@@ -208,47 +203,26 @@ fn measure_cipher_gbps() -> f64 {
 /// One simulation over a copy-on-write clone of the shared base overlay:
 /// returns summed seconds per variant.
 ///
-/// The serial loop interleaved path construction with replay on one
-/// [`tap_netsim::Network`]; here the two are split so the replays run on
-/// the sharded conservative-lookahead loop, bit-identically:
-///
-/// 1. *Plan* (RNG-bearing): every transfer's routes, tunnels and onions
-///    are built in the exact serial RNG order; each variant's
-///    store-and-forward chain is recorded instead of replayed. Replays
-///    never touched the RNG, so deferring them changes nothing upstream.
-/// 2. *Replay* (RNG-free): each chain position becomes a *private*
-///    endpoint — in the serial replay every NIC was provably idle at each
-///    send (a chain's sends strictly follow the previous hop's delivery,
-///    and chains follow each other), so private NICs see identical queue
-///    state. [`RemappedLatency`] gives private endpoints the pairwise
-///    delays of the nodes they stand for, timers launch every chain at
-///    t = 0 (durations are start-relative, so serial clock offsets
-///    cancel), and completions are summed in chain-creation order —
-///    the serial f64 accumulation order. Degenerate (< 2 hop) chains
-///    contribute the same `+0.0` they did serially.
-fn simulate_one<L: LatencyModel + Sync>(
+/// Each transfer runs alone on idle uplinks, so its store-and-forward time
+/// is closed-form ([`StoreAndForward::transfer_time`]) and is summed as
+/// soon as its path is known, in transfer-major, variant-minor order.
+fn simulate_one<L: LatencyModel>(
     base: &Overlay,
     ids: &[Id],
     transfers: usize,
     seed: u64,
     latency: L,
     metrics: &Registry,
-    shards: usize,
 ) -> [f64; 5] {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut overlay = base.clone();
     overlay.use_metrics(metrics.clone());
-    let mut node_ep: IdHashMap<EndpointId> = IdHashMap::default();
-    for (i, &id) in ids.iter().enumerate() {
-        node_ep.insert(id, EndpointId::from_index(i).expect("node index fits u32"));
-    }
+    let links = StoreAndForward::new(latency, ids, metrics);
     let mut thas: ReplicaStore<Tha> = ReplicaStore::new(3);
     thas.use_metrics(metrics.clone());
     let instruments = CoreInstruments::new(metrics);
 
-    // Phase 1: plan chains in serial accumulation order (transfer-major,
-    // variant-minor).
-    let mut chains: Vec<(usize, Vec<EndpointId>)> = Vec::with_capacity(transfers * 5);
+    let mut sums = [0.0f64; 5];
     for _ in 0..transfers {
         let initiator = overlay.random_node(&mut rng).expect("nodes exist");
         let fid = Id::random(&mut rng);
@@ -258,7 +232,7 @@ fn simulate_one<L: LatencyModel + Sync>(
             .route(initiator, fid)
             .expect("consistent overlay routes")
             .path;
-        chains.push((0, dedup_chain(&node_ep, &overt_path)));
+        sums[0] += links.transfer_time(&overt_path).as_secs_f64();
 
         // TAP variants: fresh tunnels per transfer, torn down afterwards.
         for (slot, &(l, hinted)) in [(5usize, false), (5, true), (3, false), (3, true)]
@@ -275,89 +249,63 @@ fn simulate_one<L: LatencyModel + Sync>(
                 hinted,
                 &instruments,
             );
-            chains.push((slot + 1, dedup_chain(&node_ep, &path)));
-        }
-    }
-
-    // Phase 2: one sharded run over private per-(chain, position)
-    // endpoints.
-    let mut sums = [0.0f64; 5];
-    let mut map: Vec<EndpointId> = Vec::new(); // private index -> node endpoint
-    let mut chain_of: Vec<u32> = Vec::new(); // private index -> live-chain index
-    let mut live: Vec<(usize, u32, u32)> = Vec::new(); // (slot, start, end) in private space
-    for (slot, eps) in &chains {
-        if eps.len() < 2 {
-            continue; // free serially, free here: contributes +0.0
-        }
-        let start = map.len() as u32;
-        let ci = live.len() as u32;
-        for &ep in eps {
-            map.push(ep);
-            chain_of.push(ci);
-        }
-        live.push((*slot, start, start + eps.len() as u32));
-    }
-    if !live.is_empty() {
-        let total = map.len();
-        let remapped = RemappedLatency::new(latency, map, ids.len());
-        let mut net: ShardedNetwork<u32, RemappedLatency<L>> =
-            ShardedNetwork::new(NetworkConfig::paper_defaults(), remapped, total, shards);
-        for (ci, &(_, start, _)) in live.iter().enumerate() {
-            net.schedule_timer_at(private_ep(start), SimTime::ZERO, TimerToken(ci as u64));
-        }
-        let done: Mutex<Vec<SimDuration>> = Mutex::new(vec![SimDuration::ZERO; live.len()]);
-        let (live_ref, chain_ref, done_ref) = (&live, &chain_of, &done);
-        // One worker: the TrialPool already spreads (size, sim) trials
-        // across threads, so nesting another pool per trial only adds
-        // barrier overhead — sharding still partitions state and events.
-        net.run(1, |_| {
-            move |ctx: &mut ShardCtx<'_, u32, RemappedLatency<L>>, ev: Event<u32>| match ev {
-                Event::Timer { token, .. } => {
-                    let (_, start, _) = live_ref[token.0 as usize];
-                    ctx.send(
-                        private_ep(start),
-                        private_ep(start + 1),
-                        FILE_BYTES,
-                        start + 1,
-                    );
-                }
-                Event::Message(m) => {
-                    let g = m.payload;
-                    let ci = chain_ref[g as usize] as usize;
-                    let (_, _, end) = live_ref[ci];
-                    if g + 1 < end {
-                        ctx.send(private_ep(g), private_ep(g + 1), FILE_BYTES, g + 1);
-                    } else {
-                        done_ref.lock().expect("completion log poisoned")[ci] =
-                            m.delivered_at - SimTime::ZERO;
-                    }
-                }
-            }
-        });
-        net.fold_metrics(metrics);
-        let done = done.into_inner().expect("completion log poisoned");
-        for (ci, &(slot, _, _)) in live.iter().enumerate() {
-            sums[slot] += done[ci].as_secs_f64();
+            sums[slot + 1] += links.transfer_time(&path).as_secs_f64();
         }
     }
     sums
 }
 
-fn private_ep(i: u32) -> EndpointId {
-    EndpointId::from_index(i as usize).expect("private index fits u32")
+/// The paper's §7.3 cost model for one [`FILE_BYTES`] transfer on idle
+/// 1.5 Mb/s uplinks: every overlay hop costs serialization plus the
+/// pair's propagation delay plus the receiver's processing delay.
+/// Consecutive duplicate nodes are free (a hop relaying to itself).
+struct StoreAndForward<L> {
+    latency: L,
+    endpoint_of: IdHashMap<EndpointId>,
+    tx: SimDuration,
+    processing: SimDuration,
+    queue_delay_us: Arc<Histogram>,
+    propagation_us: Arc<Histogram>,
 }
 
-/// Map a node path onto node endpoints, dropping consecutive duplicates
-/// (a hop relaying to itself is free).
-fn dedup_chain(node_ep: &IdHashMap<EndpointId>, path: &[Id]) -> Vec<EndpointId> {
-    let mut eps: Vec<EndpointId> = Vec::with_capacity(path.len());
-    for id in path {
-        let ep = node_ep[id];
-        if eps.last() != Some(&ep) {
-            eps.push(ep);
+impl<L: LatencyModel> StoreAndForward<L> {
+    /// Node `ids[i]` becomes endpoint `i`, placed with the latency model in
+    /// index order exactly as [`tap_netsim::Network::add_endpoint`] would.
+    /// Each hop records into the same histograms a network send does.
+    fn new(mut latency: L, ids: &[Id], metrics: &Registry) -> Self {
+        let mut endpoint_of = IdHashMap::default();
+        for (i, &id) in ids.iter().enumerate() {
+            let ep = EndpointId::from_index(i).expect("node index fits u32");
+            latency.on_endpoint_added(ep);
+            endpoint_of.insert(id, ep);
+        }
+        let config = NetworkConfig::paper_defaults();
+        StoreAndForward {
+            latency,
+            endpoint_of,
+            tx: Nic::new(config.bandwidth_bps).tx_time(FILE_BYTES),
+            processing: config.processing_delay,
+            queue_delay_us: metrics.histogram("netsim.queue_delay_us"),
+            propagation_us: metrics.histogram("netsim.propagation_us"),
         }
     }
-    eps
+
+    /// Time from the first send to the last delivery along `path`.
+    fn transfer_time(&self, path: &[Id]) -> SimDuration {
+        let mut total = SimDuration::ZERO;
+        let mut prev: Option<EndpointId> = None;
+        for id in path {
+            let ep = self.endpoint_of[id];
+            if let Some(a) = prev.filter(|&a| a != ep) {
+                let propagation = self.latency.delay(a, ep);
+                self.queue_delay_us.record(self.tx.as_micros());
+                self.propagation_us.record(propagation.as_micros());
+                total += self.tx + propagation + self.processing;
+            }
+            prev = Some(ep);
+        }
+        total
+    }
 }
 
 /// Build a fresh tunnel of length `l` for `initiator`, drive the transfer
@@ -420,12 +368,14 @@ fn tap_path(
 mod tests {
     use std::collections::HashMap;
 
-    use super::*;
-    use tap_netsim::Network;
+    use rand::Rng;
 
-    /// The pre-port serial replay: a node path as a store-and-forward
-    /// transfer on the shared [`Network`], consecutive duplicates free.
-    /// Kept as the reference the sharded batch must reproduce bit-for-bit.
+    use super::*;
+    use tap_netsim::{Event, Network};
+
+    /// A node path as a store-and-forward transfer on an event-driven
+    /// [`Network`], consecutive duplicates free: the oracle
+    /// [`StoreAndForward::transfer_time`] must reproduce bit-for-bit.
     fn replay<L: LatencyModel>(
         net: &mut Network<usize, L>,
         endpoint_of: &HashMap<Id, EndpointId>,
@@ -456,115 +406,62 @@ mod tests {
         unreachable!("the transfer chain always completes in a live network")
     }
 
-    /// The pre-port serial body of [`simulate_one`], verbatim: replays
-    /// interleaved with planning on one shared serial network.
-    fn simulate_one_serial<L: LatencyModel>(
-        base: &Overlay,
-        ids: &[Id],
-        transfers: usize,
-        seed: u64,
-        latency: L,
-        metrics: &Registry,
-    ) -> [f64; 5] {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut overlay = base.clone();
-        overlay.use_metrics(metrics.clone());
-        let mut net: Network<usize, L> = Network::new(NetworkConfig::paper_defaults(), latency);
-        net.use_metrics(metrics.clone());
-        let mut endpoint_of: HashMap<Id, EndpointId> = HashMap::with_capacity(ids.len());
-        for &id in ids {
-            endpoint_of.insert(id, net.add_endpoint());
-        }
-        let mut thas: ReplicaStore<Tha> = ReplicaStore::new(3);
-        thas.use_metrics(metrics.clone());
-        let instruments = CoreInstruments::new(metrics);
+    /// Checks the closed form against [`replay`] on random paths over 40
+    /// nodes: empty, single-node, self-relaying and multi-hop paths, each
+    /// step repeating the previous node with probability 1/4. The two
+    /// sides must also record identical per-hop histograms.
+    fn closed_form_matches_replay<L: LatencyModel>(model: impl Fn() -> L) {
+        let mut rng = StdRng::seed_from_u64(0x0AC1E);
+        let ids: Vec<Id> = (0..40).map(|_| Id::random(&mut rng)).collect();
+        let replayed = Registry::new();
+        let mut net: Network<usize, L> = Network::new(NetworkConfig::paper_defaults(), model());
+        net.use_metrics(replayed.clone());
+        let endpoint_of: HashMap<Id, EndpointId> =
+            ids.iter().map(|&id| (id, net.add_endpoint())).collect();
+        let closed = Registry::new();
+        let links = StoreAndForward::new(model(), &ids, &closed);
 
-        let mut sums = [0.0f64; 5];
-        for _ in 0..transfers {
-            let initiator = overlay.random_node(&mut rng).expect("nodes exist");
-            let fid = Id::random(&mut rng);
-            let overt_path = overlay
-                .route(initiator, fid)
-                .expect("consistent overlay routes")
-                .path;
-            sums[0] += replay(&mut net, &endpoint_of, &overt_path).as_secs_f64();
-            for (slot, &(l, hinted)) in [(5usize, false), (5, true), (3, false), (3, true)]
-                .iter()
-                .enumerate()
-            {
-                let path = tap_path(
-                    &mut overlay,
-                    &mut thas,
-                    &mut rng,
-                    initiator,
-                    fid,
-                    l,
-                    hinted,
-                    &instruments,
-                );
-                sums[slot + 1] += replay(&mut net, &endpoint_of, &path).as_secs_f64();
+        let mut paths = vec![
+            vec![],
+            vec![ids[0]],
+            vec![ids[1], ids[1]],
+            vec![ids[2], ids[3]],
+            vec![ids[4], ids[4], ids[5], ids[5], ids[5], ids[6]],
+        ];
+        for _ in 0..300 {
+            let len = rng.gen_range(0..=8usize);
+            let mut path: Vec<Id> = Vec::with_capacity(len);
+            for _ in 0..len {
+                let repeat = !path.is_empty() && rng.gen_range(0..4u32) == 0;
+                let next = if repeat {
+                    path[path.len() - 1]
+                } else {
+                    ids[rng.gen_range(0..ids.len())]
+                };
+                path.push(next);
             }
+            paths.push(path);
         }
-        sums
+        for path in &paths {
+            assert_eq!(
+                links.transfer_time(path),
+                replay(&mut net, &endpoint_of, path),
+                "path {path:?}"
+            );
+        }
+        let (closed, replayed) = (closed.snapshot(), replayed.snapshot());
+        for name in ["netsim.queue_delay_us", "netsim.propagation_us"] {
+            assert!(replayed.histogram(name).is_some(), "{name} recorded");
+            assert_eq!(closed.histogram(name), replayed.histogram(name), "{name}");
+        }
     }
 
     #[test]
-    fn sharded_replay_matches_the_serial_loop_bit_for_bit() {
-        let mut rng = StdRng::seed_from_u64(substream_seed(3, "fig6-base", 0));
-        let mut overlay = Overlay::new(PastryConfig::paper_defaults());
-        let ids: Vec<Id> = (0..400)
-            .map(|_| overlay.add_random_node(&mut rng))
-            .collect();
-        for seed in [11u64, 12] {
-            let serial = simulate_one_serial(
-                &overlay,
-                &ids,
-                8,
-                seed,
-                UniformLatency::paper(seed ^ 0x1a7e),
-                &Registry::new(),
-            );
-            for shards in [1usize, 2, 8] {
-                let sharded = simulate_one(
-                    &overlay,
-                    &ids,
-                    8,
-                    seed,
-                    UniformLatency::paper(seed ^ 0x1a7e),
-                    &Registry::new(),
-                    shards,
-                );
-                assert_eq!(
-                    serial.map(f64::to_bits),
-                    sharded.map(f64::to_bits),
-                    "seed={seed} shards={shards}"
-                );
-            }
-            // The coordinate-model path (private endpoints remapped onto
-            // serially-placed coords) must agree too.
-            let serial = simulate_one_serial(
-                &overlay,
-                &ids,
-                8,
-                seed,
-                EuclideanLatency::paper(seed ^ 0x1a7e),
-                &Registry::new(),
-            );
-            let sharded = simulate_one(
-                &overlay,
-                &ids,
-                8,
-                seed,
-                EuclideanLatency::paper(seed ^ 0x1a7e),
-                &Registry::new(),
-                4,
-            );
-            assert_eq!(
-                serial.map(f64::to_bits),
-                sharded.map(f64::to_bits),
-                "euclidean seed={seed}"
-            );
-        }
+    fn closed_form_transfer_time_matches_the_network_replay() {
+        closed_form_matches_replay(|| UniformLatency::paper(0x1a7e));
+        // The coordinate model must see the same placement stream as a
+        // network filled by `add_endpoint`.
+        closed_form_matches_replay(|| EuclideanLatency::paper(0x1a7e));
     }
 
     fn tiny() -> Scale {

@@ -52,61 +52,35 @@ fn csvs_are_byte_identical_across_thread_counts() {
     }
 }
 
+/// Every figure at [`tiny`] scale, `resilience --multipath 5/3` included,
+/// against `goldens/tiny/`: CSVs written by the binary that still ran
+/// fig6's replay and the throughput figure on a sharded event loop. Small
+/// enough for debug builds, so a plain `cargo test` catches any drift
+/// that the release-only quick-preset goldens below would miss.
 #[test]
-fn throughput_csv_is_byte_identical_across_shard_counts() {
-    // The sharded event loop's own contract, on top of the thread one:
-    // region count partitions the event space without touching results.
-    let one_shard = throughput::run(&Scale {
-        shards: 1,
+fn tiny_csvs_match_the_goldens() {
+    let mut cases: Vec<(&str, Figure, Scale)> = figures()
+        .into_iter()
+        .map(|(name, run)| (name, run, tiny()))
+        .collect();
+    cases.push(("resilience", resilience::run, tiny()));
+    let multipath = Scale {
+        mp_n: 5,
+        mp_k: 3,
         ..tiny()
-    })
-    .to_csv();
-    for shards in [2, 8] {
-        let sharded = throughput::run(&Scale { shards, ..tiny() }).to_csv();
-        assert_eq!(
-            one_shard, sharded,
-            "throughput: CSV diverged between --shards 1 and --shards {shards}"
+    };
+    cases.push(("resilience_mp", resilience::run, multipath));
+    for (name, run, scale) in cases {
+        let path = format!(
+            "{}/tests/goldens/tiny/{name}.csv",
+            env!("CARGO_MANIFEST_DIR")
         );
-    }
-    // And the combination: many shards driven by many threads.
-    let combined = throughput::run(&Scale {
-        shards: 8,
-        threads: 4,
-        ..tiny()
-    })
-    .to_csv();
-    assert_eq!(one_shard, combined);
-}
-
-#[test]
-fn heavy_figures_are_byte_identical_across_shard_and_thread_grids() {
-    // The figures ported onto the sharded event loop (and the two whose
-    // parallelism stays at the trial level) must not let the shard count
-    // or worker count leak into a single byte of CSV.
-    let heavy: [(&str, Figure); 3] = [
-        ("fig5", churn::run as Figure),
-        ("fig6", latency::run),
-        ("secure", secure_routing::run),
-    ];
-    for (name, run) in heavy {
-        let baseline = run(&Scale {
-            shards: 1,
-            ..tiny().with_threads(1)
-        })
-        .to_csv();
-        for shards in [1usize, 2, 8] {
-            for threads in [1usize, 4] {
-                let got = run(&Scale {
-                    shards,
-                    ..tiny().with_threads(threads)
-                })
-                .to_csv();
-                assert_eq!(
-                    baseline, got,
-                    "{name}: CSV diverged at --shards {shards} --threads {threads}"
-                );
-            }
-        }
+        let golden = std::fs::read_to_string(&path).expect("tiny golden present");
+        assert_eq!(
+            golden,
+            run(&scale.with_threads(1)).to_csv(),
+            "{name}: tiny-scale CSV diverged from {path}"
+        );
     }
 }
 
